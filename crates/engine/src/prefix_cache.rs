@@ -176,7 +176,20 @@ impl PrefixCache {
     /// remaining signatures, reserving one KV block per new node through
     /// `kv` and evicting cold paths on demand. Insertion stops early — and
     /// the acquired path stays shorter — if no block can be freed.
+    ///
+    /// With `count == 0` nothing could hold the path, so the call is read
+    /// only, like [`Self::match_blocks`]: it pins, inserts and evicts
+    /// nothing, moves no counter, and returns the resident prefix length
+    /// with no handle.
     pub fn acquire(&mut self, kv: &mut KvCacheManager, sigs: &[u64], count: u32) -> Acquired {
+        if count == 0 {
+            let hit = self.match_blocks(sigs);
+            return Acquired {
+                hit_blocks: hit,
+                resident_blocks: hit,
+                handle: None,
+            };
+        }
         self.stats.lookups += 1;
         // Walk and pin the resident prefix.
         let mut deepest = NIL;
@@ -249,12 +262,27 @@ impl PrefixCache {
     /// Evicts up to `want` blocks, coldest zero-ref leaves first, returning
     /// each to `kv` via `unreserve_blocks`. Returns the number evicted
     /// (possibly zero when everything resident is pinned).
+    ///
+    /// A parent exposed by evicting its last child is evicted next, without
+    /// a heap round trip, whenever its entry is below the heap's top —
+    /// exactly when the heap would pop it next — so a cold path cascades
+    /// in one pass and the eviction order is the heap's.
     pub fn evict(&mut self, kv: &mut KvCacheManager, want: u64) -> u64 {
         let mut evicted = 0;
+        let mut exposed = None;
         while evicted < want {
-            let Some(Reverse((stamp, idx, gen))) = self.heap.pop() else {
-                break;
+            let entry = match exposed.take() {
+                Some(e) if self.heap.peek().is_none_or(|&Reverse(top)| e < top) => e,
+                Some(e) => {
+                    self.heap.push(Reverse(e));
+                    continue;
+                }
+                None => match self.heap.pop() {
+                    Some(Reverse(e)) => e,
+                    None => break,
+                },
             };
+            let (stamp, idx, gen) = entry;
             let node = &self.nodes[idx as usize];
             let valid = node.live
                 && node.gen == gen
@@ -264,9 +292,12 @@ impl PrefixCache {
             if !valid {
                 continue;
             }
-            self.remove_leaf(idx);
+            exposed = self.remove_leaf(idx);
             kv.unreserve_blocks(1);
             evicted += 1;
+        }
+        if let Some(e) = exposed {
+            self.heap.push(Reverse(e));
         }
         self.stats.evicted_blocks += evicted;
         evicted
@@ -287,8 +318,9 @@ impl PrefixCache {
     }
 
     /// Allocates a node for `sig` under `parent` (or the root set when
-    /// `parent == NIL`), already pinned with `count` refs.
+    /// `parent == NIL`), already pinned with `count > 0` refs.
     fn insert_child(&mut self, parent: u32, sig: u64, count: u32) -> u32 {
+        debug_assert!(count > 0, "an unpinned insert could be evicted at once");
         let stamp = self.next_tick();
         let idx = match self.free_list.pop() {
             Some(idx) => {
@@ -329,17 +361,13 @@ impl PrefixCache {
         }
         self.resident += 1;
         self.total_refs += u64::from(count);
-        if count == 0 {
-            self.unpinned += 1;
-            let gen = self.nodes[idx as usize].gen;
-            self.heap.push(Reverse((stamp, idx, gen)));
-        }
         idx
     }
 
-    /// Frees a zero-ref leaf, unlinking it from its parent; if that leaves
-    /// the parent a zero-ref leaf, the parent becomes the next candidate.
-    fn remove_leaf(&mut self, idx: u32) {
+    /// Frees a zero-ref leaf, unlinking it from its parent. If that leaves
+    /// the parent a zero-ref leaf, returns the parent's eviction entry; the
+    /// caller owns it (evicts it or pushes it onto the heap).
+    fn remove_leaf(&mut self, idx: u32) -> Option<(u64, u32, u32)> {
         let (sig, parent) = {
             let node = &mut self.nodes[idx as usize];
             node.live = false;
@@ -357,12 +385,11 @@ impl PrefixCache {
         self.free_list.push(idx);
         self.resident -= 1;
         self.unpinned -= 1;
-        if parent != NIL {
-            let p = &self.nodes[parent as usize];
-            if p.live && p.refs == 0 && p.children.is_empty() {
-                self.heap.push(Reverse((p.last_use, parent, p.gen)));
-            }
+        if parent == NIL {
+            return None;
         }
+        let p = &self.nodes[parent as usize];
+        (p.live && p.refs == 0 && p.children.is_empty()).then_some((p.last_use, parent, p.gen))
     }
 }
 
@@ -465,6 +492,124 @@ mod tests {
         assert_eq!(tree.outstanding_pins(), 6);
         tree.release(b.handle.expect("pinned"), 3);
         assert_eq!(tree.outstanding_pins(), 0);
+    }
+
+    #[test]
+    fn zero_count_acquire_is_read_only() {
+        // Regression: an unpinned walk let the insert loop's eviction free
+        // the matched block and then insert under the recycled slot.
+        let mut kv = kv(2);
+        let mut tree = PrefixCache::new();
+        let a = tree.acquire(&mut kv, &[1], 1);
+        tree.release(a.handle.expect("pinned"), 1);
+        let stats = tree.stats();
+        let peek = tree.acquire(&mut kv, &[1, 2, 3], 0);
+        assert_eq!(
+            peek,
+            Acquired {
+                hit_blocks: 1,
+                resident_blocks: 1,
+                handle: None,
+            }
+        );
+        assert_eq!(tree.resident_blocks(), 1);
+        assert_eq!(tree.evictable_blocks(), 1);
+        assert_eq!(tree.outstanding_pins(), 0);
+        assert_eq!(tree.stats(), stats);
+        assert_eq!(kv.free_blocks(), 1);
+        // The tree is intact: a pinned acquire fills the KV and releases.
+        let b = tree.acquire(&mut kv, &[1, 2, 3], 1);
+        assert_eq!((b.hit_blocks, b.resident_blocks), (1, 2));
+        tree.release(b.handle.expect("pinned"), 1);
+        assert_eq!(tree.evict(&mut kv, 10), 2);
+        assert_eq!(kv.free_blocks(), 2);
+    }
+
+    /// Everything observable about a tree and its allocator, plus the
+    /// resident prefix length of every path ever inserted.
+    fn observe(
+        tree: &PrefixCache,
+        kv: &KvCacheManager,
+        paths: &[Vec<u64>],
+    ) -> (PrefixCacheStats, u64, u64, u64, u64, Vec<usize>) {
+        (
+            tree.stats(),
+            tree.resident_blocks(),
+            tree.evictable_blocks(),
+            tree.outstanding_pins(),
+            kv.free_blocks(),
+            paths.iter().map(|p| tree.match_blocks(p)).collect(),
+        )
+    }
+
+    /// `evict(n)` and `n` calls of `evict(1)` evict the same blocks in the
+    /// same order, so they leave the same tree.
+    fn assert_evict_law(tree: &PrefixCache, kv: &KvCacheManager, n: u64, paths: &[Vec<u64>]) {
+        let (mut bulk_tree, mut bulk_kv) = (tree.clone(), kv.clone());
+        let (mut step_tree, mut step_kv) = (tree.clone(), kv.clone());
+        let bulk = bulk_tree.evict(&mut bulk_kv, n);
+        let step: u64 = (0..n).map(|_| step_tree.evict(&mut step_kv, 1)).sum();
+        assert_eq!(bulk, step, "evict({n}) count");
+        assert_eq!(
+            observe(&bulk_tree, &bulk_kv, paths),
+            observe(&step_tree, &step_kv, paths),
+            "evict({n}) state"
+        );
+    }
+
+    #[test]
+    fn bulk_eviction_matches_single_steps_on_random_traces() {
+        use edgereasoning_soc::rng::Rng;
+        for seed in 0..200 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut kv = kv(24);
+            let mut tree = PrefixCache::new();
+            let mut held: Vec<(PrefixHandle, u32)> = Vec::new();
+            let mut paths: Vec<Vec<u64>> = Vec::new();
+            for _ in 0..120 {
+                if held.is_empty() || rng.range_usize(3) > 0 {
+                    // A small alphabet makes paths share stems and fork.
+                    let len = 1 + rng.range_usize(8);
+                    let path: Vec<u64> = (0..len).map(|_| rng.range_usize(3) as u64).collect();
+                    let count = 1 + rng.range_usize(3) as u32;
+                    if let Some(h) = tree.acquire(&mut kv, &path, count).handle {
+                        held.push((h, count));
+                    }
+                    paths.push(path);
+                } else {
+                    let (h, count) = held.swap_remove(rng.range_usize(held.len()));
+                    tree.release(h, count);
+                }
+                let n = 1 + rng.range_usize(tree.resident_blocks() as usize + 2) as u64;
+                assert_evict_law(&tree, &kv, n, &paths);
+            }
+            for (h, count) in held.drain(..) {
+                tree.release(h, count);
+            }
+            assert_evict_law(&tree, &kv, tree.resident_blocks() + 1, &paths);
+        }
+    }
+
+    #[test]
+    fn cascade_yields_to_a_colder_leaf_between_its_steps() {
+        let mut kv = kv(8);
+        let mut tree = PrefixCache::new();
+        let a = tree.acquire(&mut kv, &[1, 2], 1);
+        let b = tree.acquire(&mut kv, &[1, 2, 3], 1);
+        let c = tree.acquire(&mut kv, &[9], 1);
+        tree.release(b.handle.expect("pinned"), 1); // leaf 3 coldest
+        tree.release(c.handle.expect("pinned"), 1); // leaf 9 next
+        tree.release(a.handle.expect("pinned"), 1); // stem 1 → 2 warmest
+        let paths = [vec![1, 2, 3], vec![9]];
+        for n in 1..=5 {
+            assert_evict_law(&tree, &kv, n, &paths);
+        }
+        // Evicting 3 exposes 2, which is warmer than 9: 9 goes first.
+        assert_eq!(tree.evict(&mut kv, 2), 2);
+        assert_eq!(tree.match_blocks(&[1, 2, 3]), 2);
+        assert_eq!(tree.match_blocks(&[9]), 0);
+        assert_eq!(tree.evict(&mut kv, 2), 2);
+        assert_eq!(tree.resident_blocks(), 0);
     }
 
     #[test]

@@ -124,21 +124,29 @@ impl EvalContext {
 /// `None` answers never receive votes; ties break toward the earliest
 /// sample, mirroring a first-seen argmax. Returns `AnswerKey::None` when
 /// no sample produced an answer.
+///
+/// Counts each answer at its first occurrence with a linear scan: `k` is
+/// small (the studies vote over at most 32 samples), so this beats
+/// hashing, and it allocates nothing.
 pub fn majority_vote(samples: &[AnswerSample]) -> AnswerKey {
-    use std::collections::HashMap;
-    let mut counts: HashMap<AnswerKey, (usize, usize)> = HashMap::new(); // key -> (votes, first_idx)
+    let mut best = AnswerKey::None;
+    let mut best_votes = 0;
     for (i, s) in samples.iter().enumerate() {
-        if s.answer == AnswerKey::None {
+        // An answer first seen here has at most `len - i` votes; a tie
+        // keeps the earlier winner.
+        if best_votes >= samples.len() - i {
+            break;
+        }
+        if s.answer == AnswerKey::None || samples[..i].iter().any(|p| p.answer == s.answer) {
             continue;
         }
-        let e = counts.entry(s.answer).or_insert((0, i));
-        e.0 += 1;
+        let votes = samples[i..].iter().filter(|p| p.answer == s.answer).count();
+        if votes > best_votes {
+            best = s.answer;
+            best_votes = votes;
+        }
     }
-    counts
-        .into_iter()
-        .max_by(|a, b| a.1 .0.cmp(&b.1 .0).then(b.1 .1.cmp(&a.1 .1)))
-        .map(|(k, _)| k)
-        .unwrap_or(AnswerKey::None)
+    best
 }
 
 #[cfg(test)]
@@ -224,6 +232,52 @@ mod tests {
         assert_eq!(majority_vote(&[mk(None), mk(None)]), None);
         // Tie breaks toward the earlier sample.
         assert_eq!(majority_vote(&[mk(Trap), mk(Correct)]), Trap);
+    }
+
+    /// The map-based vote `majority_vote` replaced: count per answer with
+    /// its first index, most votes wins, a tie goes to the earliest.
+    fn majority_vote_by_map(samples: &[AnswerSample]) -> AnswerKey {
+        use std::collections::HashMap;
+        let mut counts: HashMap<AnswerKey, (usize, usize)> = HashMap::new();
+        for (i, s) in samples.iter().enumerate() {
+            if s.answer == AnswerKey::None {
+                continue;
+            }
+            counts.entry(s.answer).or_insert((0, i)).0 += 1;
+        }
+        counts
+            .into_iter()
+            .max_by(|a, b| a.1 .0.cmp(&b.1 .0).then(b.1 .1.cmp(&a.1 .1)))
+            .map(|(k, _)| k)
+            .unwrap_or(AnswerKey::None)
+    }
+
+    #[test]
+    fn majority_vote_matches_the_map_reference() {
+        let mut rng = Rng::seed_from_u64(6);
+        for _ in 0..20_000 {
+            let k = 1 + rng.range_usize(64);
+            // Few buckets so that ties and `None`s are common.
+            let buckets = 1 + rng.range_usize(6);
+            let samples: Vec<_> = (0..k)
+                .map(|_| AnswerSample {
+                    tokens: 100.0,
+                    completed: true,
+                    answer: match rng.range_usize(buckets + 1) {
+                        0 => AnswerKey::None,
+                        1 => AnswerKey::Correct,
+                        2 => AnswerKey::Trap,
+                        n => AnswerKey::Other(n as u32),
+                    },
+                })
+                .collect();
+            assert_eq!(
+                majority_vote(&samples),
+                majority_vote_by_map(&samples),
+                "{samples:?}"
+            );
+        }
+        assert_eq!(majority_vote(&[]), AnswerKey::None);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   pauses (the user reads the reply, the agent executes a tool).
 //!
 //! [`SessionGen`] emits such a trace lazily in global arrival order with
-//! memory proportional to the number of *concurrent* sessions, not the
+//! memory proportional to the *concurrent* sessions' contexts, not the
 //! trace length — a 10^6-turn study never materializes the trace. Each
 //! [`SessionTurn`] carries a block-granular prefix signature compatible
 //! with the engine's radix prefix cache: one `u64` per full KV block,
@@ -204,11 +204,13 @@ impl SessionMixConfig {
 #[derive(Debug, Clone)]
 struct LiveSession {
     rng: Rng,
-    template: usize,
     turns_left: usize,
     next_turn: usize,
     /// Tokens of context accumulated so far (template + history).
     context_tokens: usize,
+    /// Signature of the context's full blocks hashed so far; each turn
+    /// extends it by the blocks that turn's context adds.
+    prefix: Vec<u64>,
 }
 
 /// A pending emission, ordered by arrival. Ties break on session index so
@@ -224,8 +226,12 @@ struct Pending {
 ///
 /// Session starts are a Poisson process; each session is an independent
 /// RNG stream (seeded via [`item_seed`]) so the trace is insensitive to
-/// interleaving. Memory is `O(concurrent sessions)`: a binary heap of
-/// next-turn events plus one live record per unfinished session.
+/// interleaving. Memory is `O(concurrent sessions × context blocks)` plus
+/// a table of every template's block signatures: a binary heap of
+/// next-turn events plus one live record per unfinished session, holding
+/// the signature of that session's context so far. A turn hashes only the
+/// blocks its context adds, so host cost per turn is proportional to the
+/// new blocks, not to the whole context.
 #[derive(Debug, Clone)]
 pub struct SessionGen {
     cfg: SessionMixConfig,
@@ -234,12 +240,23 @@ pub struct SessionGen {
     started: usize,
     heap: BinaryHeap<Reverse<Pending>>,
     live: Vec<Option<LiveSession>>,
+    /// `template_sigs[t]` holds the signatures of template `t`'s full
+    /// blocks, hashed once here instead of once per turn.
+    template_sigs: Vec<Vec<u64>>,
 }
 
 impl SessionGen {
     fn new(cfg: SessionMixConfig) -> Self {
         let mut starts = Rng::seed_from_u64(cfg.seed ^ 0x5e55_10f5);
         let first = Self::exp_gap(&mut starts, cfg.session_qps);
+        let template_blocks = cfg.template_tokens / cfg.block_tokens;
+        let template_sigs = (0..cfg.templates)
+            .map(|t| {
+                (0..template_blocks)
+                    .map(|j| stable_hash(&[0, t as u64, j as u64]))
+                    .collect()
+            })
+            .collect();
         Self {
             cfg,
             starts,
@@ -247,6 +264,7 @@ impl SessionGen {
             started: 0,
             heap: BinaryHeap::new(),
             live: Vec::new(),
+            template_sigs,
         }
     }
 
@@ -265,10 +283,10 @@ impl SessionGen {
             self.cfg.min_turns + rng.range_usize(self.cfg.max_turns - self.cfg.min_turns + 1);
         let session = LiveSession {
             rng,
-            template,
             turns_left: turns,
             next_turn: 0,
             context_tokens: self.cfg.template_tokens,
+            prefix: self.template_sigs[template].clone(),
         };
         if self.live.len() <= idx {
             self.live.resize(idx + 1, None);
@@ -280,24 +298,6 @@ impl SessionGen {
         }));
         self.started += 1;
         self.next_start_s += Self::exp_gap(&mut self.starts, self.cfg.session_qps);
-    }
-
-    /// Block-granular signature of a `prompt_tokens`-long prompt whose
-    /// first `template_tokens` belong to template `template` and whose
-    /// remainder is session-private history.
-    fn signature(&self, template: usize, session: usize, prompt_tokens: usize) -> Vec<u64> {
-        let bt = self.cfg.block_tokens;
-        let full_blocks = prompt_tokens / bt;
-        let template_blocks = self.cfg.template_tokens / bt;
-        (0..full_blocks)
-            .map(|j| {
-                if j < template_blocks {
-                    stable_hash(&[0, template as u64, j as u64])
-                } else {
-                    stable_hash(&[1, self.cfg.seed, session as u64, j as u64])
-                }
-            })
-            .collect()
     }
 }
 
@@ -334,11 +334,25 @@ impl Iterator for SessionGen {
         let shared_context = slot.context_tokens;
         let prompt_tokens = shared_context + user;
         let turn = slot.next_turn;
-        let template = slot.template;
+        // The signature covers only the *shared* context (template +
+        // history); the fresh user message is private to this turn. The
+        // context only grows, so only blocks past the cached signature
+        // need hashing.
+        let shared_blocks = shared_context / self.cfg.block_tokens;
+        for j in slot.prefix.len()..shared_blocks {
+            slot.prefix.push(stable_hash(&[
+                1,
+                self.cfg.seed,
+                pending.session as u64,
+                j as u64,
+            ]));
+        }
         slot.next_turn += 1;
         slot.turns_left -= 1;
-        if slot.turns_left == 0 {
+        let prefix = if slot.turns_left == 0 {
+            let prefix = std::mem::take(&mut slot.prefix);
             self.live[pending.session] = None;
+            prefix
         } else {
             // The reply joins the context; the next turn arrives after a
             // think-time pause following the (approximate) reply instant.
@@ -350,13 +364,8 @@ impl Iterator for SessionGen {
                 arrival_bits: (arrival_s + think).to_bits(),
                 session: pending.session,
             }));
-        }
-        // The signature covers only the *shared* context (template +
-        // history); the fresh user message is private to this turn.
-        let bt = self.cfg.block_tokens;
-        let shared_blocks = shared_context / bt;
-        let mut prefix = self.signature(template, pending.session, prompt_tokens);
-        prefix.truncate(shared_blocks);
+            slot.prefix.clone()
+        };
         Some(SessionTurn {
             arrival_s,
             session: pending.session,
@@ -393,6 +402,55 @@ mod tests {
                 assert_eq!(w[1].turn, w[0].turn + 1);
                 assert!(w[1].prefix.starts_with(&w[0].prefix), "history must nest");
                 assert!(w[1].prompt_tokens > w[0].prompt_tokens, "contexts grow");
+            }
+        }
+    }
+
+    /// From-scratch definition of a signature: every full block of a
+    /// `shared_context`-token context whose first `template_tokens` belong
+    /// to `template`, template blocks hashed from the template and history
+    /// blocks from the session.
+    fn signature_from_scratch(
+        cfg: &SessionMixConfig,
+        template: usize,
+        session: usize,
+        shared_context: usize,
+    ) -> Vec<u64> {
+        let template_blocks = cfg.template_tokens / cfg.block_tokens;
+        (0..shared_context / cfg.block_tokens)
+            .map(|j| {
+                if j < template_blocks {
+                    stable_hash(&[0, template as u64, j as u64])
+                } else {
+                    stable_hash(&[1, cfg.seed, session as u64, j as u64])
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn incremental_signatures_match_the_from_scratch_definition() {
+        for seed in [0, 1, 7, 42, 1234] {
+            for cfg in [
+                SessionMixConfig::template_heavy(2.0, 60, seed),
+                SessionMixConfig::session_heavy(2.0, 60, seed),
+            ] {
+                // Per session: its template and the context its next turn
+                // shares (template first, then every earlier prompt + reply).
+                let mut context: Vec<Option<(usize, usize)>> = vec![None; cfg.sessions];
+                for t in cfg.generate() {
+                    let (template, shared) = *context[t.session].get_or_insert_with(|| {
+                        let mut rng = Rng::seed_from_u64(item_seed(cfg.seed, t.session as u64));
+                        (rng.range_usize(cfg.templates), cfg.template_tokens)
+                    });
+                    let want = signature_from_scratch(&cfg, template, t.session, shared);
+                    assert_eq!(
+                        t.prefix, want,
+                        "seed {seed} session {} turn {}",
+                        t.session, t.turn
+                    );
+                    context[t.session] = Some((template, t.prompt_tokens + t.output_tokens));
+                }
             }
         }
     }
