@@ -24,6 +24,17 @@
 //!   complete wins and the loser is cancelled with its accrued energy
 //!   still booked (a hedge's cost is real even when it loses).
 //!
+//! # One serving loop
+//!
+//! The loop here (`serve`, private to the crate) is the crate's only
+//! continuous-batching loop. [`simulate_cluster`] builds engines and
+//! weather from a [`ClusterConfig`] and runs it; single-device serving
+//! ([`simulate_serving_continuous`], `simulate_serving_traffic`) runs it
+//! as a quiet one-replica fleet — no crashes, partitions, breaker,
+//! hedging or shared prefix — over the caller's own engine, so the
+//! engine's governor (thermal throttling, battery brown-outs) acts the
+//! same on one device as on a fleet replica.
+//!
 //! # Determinism
 //!
 //! The simulation is a single-threaded discrete-event loop: at every
@@ -32,9 +43,13 @@
 //! then free KV tokens, then index). Each replica draws from its own RNG
 //! lanes — engine noise, disturbance weather and crash weather are all
 //! seeded per replica via `item_seed` — so reports are bit-identical
-//! across runs and across `par_map_deterministic` thread counts. With one
-//! replica, no crash windows and hedging off, the loop collapses to
-//! exactly [`simulate_serving_continuous`]'s schedule, bit for bit.
+//! across runs and across `par_map_deterministic` thread counts. Replica 0
+//! keeps the caller's engine seed, so a one-replica `simulate_cluster`
+//! with no crash windows and hedging off is
+//! [`simulate_serving_continuous`] on an engine seeded the same, bit for
+//! bit.
+//!
+//! [`simulate_serving_continuous`]: crate::serving::simulate_serving_continuous
 
 use edgereasoning_kernels::arch::ModelId;
 use edgereasoning_kernels::dtype::Precision;
@@ -502,9 +517,9 @@ pub struct ClusterReport {
     pub classes: Option<ClassBreakdown>,
 }
 
-/// One replica's simulation state.
-struct Replica {
-    engine: InferenceEngine,
+/// One replica's simulation state over a borrowed engine.
+struct Replica<'e> {
+    engine: &'e mut InferenceEngine,
     stepper: BatchStepper,
     /// Unconsumed crash outage windows `(start_s, end_s)`, in start order.
     crashes: Vec<(f64, f64)>,
@@ -517,6 +532,10 @@ struct Replica {
     /// the recovery of an *idle* crash, so it is the honest wall clock for
     /// throughput accounting.
     served: f64,
+    /// Latest completion instant seen so far; when the stepper drains, the
+    /// replica clock snaps to it (completions carry the run-level jitter,
+    /// which is what makes a drained schedule bit-identical to the static
+    /// gang scheduler).
     drain_now: f64,
     level: u32,
     throttle_streak: u32,
@@ -528,7 +547,7 @@ struct Replica {
     breaker: Option<Breaker>,
 }
 
-impl Replica {
+impl Replica<'_> {
     fn health_at(&self, t: f64) -> ReplicaHealth {
         if self
             .crashes
@@ -588,13 +607,58 @@ fn merge_windows(mut windows: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
     out
 }
 
+/// One replica's exogenous outage windows, in start order: crashes
+/// (device dies, in-flight work voided) and router partitions (device
+/// unreachable). Empty for a quiet replica.
+#[derive(Debug, Default)]
+pub(crate) struct Weather {
+    pub(crate) crashes: Vec<(f64, f64)>,
+    pub(crate) partitions: Vec<(f64, f64)>,
+}
+
+/// The fleet-level robustness policy the serving core reads.
+pub(crate) struct FleetPolicy<'a> {
+    /// Hedge multiple of the fleet latency estimate (`None` = no hedging).
+    pub(crate) hedge_factor: Option<f64>,
+    /// Shared template signature routed through the prefix caches (empty =
+    /// the unprefixed path).
+    pub(crate) shared_prefix: &'a [u64],
+    /// Per-replica circuit breakers (`None` = no breaking).
+    pub(crate) breaker: Option<BreakerConfig>,
+    /// Restart penalty added to every crash window.
+    pub(crate) cold_start_s: f64,
+}
+
+impl FleetPolicy<'static> {
+    /// No hedging, no breakers, no shared prefix: the policy under which a
+    /// one-replica fleet is the single-device continuous scheduler.
+    pub(crate) const QUIET: Self = FleetPolicy {
+        hedge_factor: None,
+        shared_prefix: &[],
+        breaker: None,
+        cold_start_s: 0.0,
+    };
+}
+
+/// A finished [`serve`] run.
+pub(crate) struct FleetRun {
+    pub(crate) report: ClusterReport,
+    /// Whether every offered query was retired, shed or dropped. A fleet
+    /// that died for good (e.g. every battery flat with no recharge path)
+    /// legitimately strands its queue, and conservation only holds for
+    /// runs that drained. Read by the debug-build audits.
+    #[cfg_attr(not(any(test, debug_assertions)), allow(dead_code))]
+    pub(crate) drained: bool,
+}
+
 /// Runs the deterministic fleet-serving simulation.
 ///
 /// `seed` drives the shared arrival stream and replica 0's engine noise
 /// (extra replicas and the fault/crash weather derive per-replica lanes
 /// from it), so with `ClusterConfig::new(1, engine_cfg)` the fleet report
 /// is bit-identical to [`simulate_serving_continuous`] on an engine seeded
-/// with the same `seed`.
+/// with the same `seed` — both run `serve`, the one continuous-batching
+/// loop.
 ///
 /// # Errors
 ///
@@ -604,7 +668,6 @@ fn merge_windows(mut windows: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
 /// abort: they feed the retry/failover machinery.
 ///
 /// [`simulate_serving_continuous`]: crate::serving::simulate_serving_continuous
-#[allow(clippy::too_many_lines)]
 pub fn simulate_cluster(
     cluster: &ClusterConfig,
     model: ModelId,
@@ -613,9 +676,6 @@ pub fn simulate_cluster(
     seed: u64,
 ) -> Result<ClusterReport, EngineError> {
     cluster.validate().map_err(EngineError::InvalidRequest)?;
-    cfg.validate()
-        .map_err(|e| EngineError::InvalidRequest(e.to_string()))?;
-
     let n = cluster.replicas;
     // Correlated failure domains draw their weather once, up front —
     // every member replica then shares the same windows, which is the
@@ -626,8 +686,8 @@ pub fn simulate_cluster(
         .enumerate()
         .map(|(i, d)| d.generate(seed, i, cluster.horizon_s))
         .collect();
-    let mut reps: Vec<Replica> = Vec::with_capacity(n);
-    let mut rep_accs: Vec<ServingAccumulator> = Vec::with_capacity(n);
+    let mut engines: Vec<InferenceEngine> = Vec::with_capacity(n);
+    let mut weather: Vec<Weather> = Vec::with_capacity(n);
     for r in 0..n {
         let engine_seed = if r == 0 {
             seed
@@ -648,6 +708,7 @@ pub fn simulate_cluster(
             }
         }
         engine.set_fault_schedule(faults);
+        engines.push(engine);
         let mut crashes = if cluster.crash.enabled() {
             FaultSchedule::generate_crashes(
                 item_seed(seed ^ CRASH_LANE, r as u64),
@@ -673,11 +734,78 @@ pub fn simulate_cluster(
         if !partitions.is_empty() {
             partitions = merge_windows(partitions);
         }
-        let stepper = BatchStepper::new(&engine, model, prec)?;
+        weather.push(Weather {
+            crashes,
+            partitions,
+        });
+    }
+    let policy = FleetPolicy {
+        hedge_factor: cluster.hedge_factor,
+        shared_prefix: cluster.shared_prefix.as_deref().unwrap_or(&[]),
+        breaker: cluster.breaker,
+        cold_start_s: cluster.crash.cold_start_s,
+    };
+    let run = serve(
+        &mut engines,
+        weather,
+        &policy,
+        model,
+        prec,
+        cfg,
+        ArrivalProcess::PoissonLegacy,
+        seed,
+    )?;
+    // Debug and test builds close the fleet's books on every drained run.
+    #[cfg(any(test, debug_assertions))]
+    if run.drained {
+        let violations = crate::audit::audit_cluster(cfg, cluster, &run.report);
+        debug_assert!(violations.is_empty(), "cluster audit: {violations:?}");
+    }
+    Ok(run.report)
+}
+
+/// The continuous-batching serving loop: one shared arrival stream from
+/// `process`, routed over the borrowed `engines` (one replica each, with
+/// `weather[r]` as replica `r`'s outage windows) under `policy`.
+///
+/// At every iteration the replica with the earliest actionable instant
+/// executes one scheduling step — outage handling (crash, battery
+/// brown-out, partition), then idle jump → pump → deadline shed →
+/// capacity shed → aging shed → admission → hedging → one decode step.
+/// The engines keep their own fault schedules, seeds, governors and
+/// counters; the caller reads them afterwards. With one engine, quiet
+/// weather and [`FleetPolicy::QUIET`] this is the single-device
+/// continuous scheduler.
+///
+/// # Errors
+///
+/// [`EngineError::InvalidRequest`] for an invalid `cfg`;
+/// [`EngineError::OutOfMemory`] when the model's weights alone exceed a
+/// device's budget.
+#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+pub(crate) fn serve(
+    engines: &mut [InferenceEngine],
+    weather: Vec<Weather>,
+    policy: &FleetPolicy<'_>,
+    model: ModelId,
+    prec: Precision,
+    cfg: &ServingConfig,
+    process: ArrivalProcess,
+    seed: u64,
+) -> Result<FleetRun, EngineError> {
+    cfg.validate()
+        .map_err(|e| EngineError::InvalidRequest(e.to_string()))?;
+    let n = engines.len();
+    // Crash-recovery marks and the hedge latency estimate are per-query
+    // work that only crash weather and hedging read.
+    let crash_weather = weather.iter().any(|w| !w.crashes.is_empty());
+    let mut reps: Vec<Replica<'_>> = Vec::with_capacity(n);
+    for (engine, w) in engines.iter_mut().zip(weather) {
+        let stepper = BatchStepper::new(engine, model, prec)?;
         reps.push(Replica {
             engine,
             stepper,
-            crashes,
+            crashes: w.crashes,
             next_crash: 0,
             outages: Vec::new(),
             clock: 0.0,
@@ -685,21 +813,22 @@ pub fn simulate_cluster(
             drain_now: 0.0,
             level: 0,
             throttle_streak: 0,
-            partitions,
+            partitions: w.partitions,
             next_partition: 0,
-            breaker: cluster.breaker.map(Breaker::new),
+            breaker: policy.breaker.map(Breaker::new),
         });
-        rep_accs.push(ServingAccumulator::default());
     }
+    // Per-replica books. A lone replica's books equal the fleet's except
+    // for the fleet-level shed/failed/retry counters, so its view is
+    // derived from the fleet's at the end instead of booked twice.
+    let mut rep_accs: Vec<ServingAccumulator> = if n > 1 {
+        (0..n).map(|_| ServingAccumulator::default()).collect()
+    } else {
+        Vec::new()
+    };
 
-    // The shared arrival stream, drawn lazily (same bits as the legacy
-    // pre-expanded `poisson_arrivals` vector).
-    let mut pq = PendingQueue::new(
-        ArrivalProcess::PoissonLegacy,
-        cfg.arrival_qps,
-        cfg.queries,
-        seed,
-    );
+    // The shared arrival stream, drawn lazily.
+    let mut pq = PendingQueue::new(process, cfg.arrival_qps, cfg.queries, seed);
     let mut live: Vec<ClusterSlot> = Vec::new();
     let mut group: Vec<QKey> = Vec::new();
     // Recycled member buffers and hedge-candidate scratch: the router's
@@ -713,9 +842,7 @@ pub fn simulate_cluster(
     }
     let mut fleet = ServingAccumulator::default();
     let mut next_key = 0u64;
-    // Fleet latency EWMA for hedge arming. `Ewma` seeds from the first
-    // observation (bit-exact with the old inline update, minus its
-    // cold-start-at-zero bias).
+    // Fleet latency EWMA for hedge arming.
     let mut lat_est = Ewma::new(HEDGE_EWMA_ALPHA);
     let mut crash_events = 0usize;
     let mut crash_lost = 0usize;
@@ -727,16 +854,18 @@ pub fn simulate_cluster(
     let mut partition_events = 0usize;
     let mut partition_voided = 0usize;
     // Fleet-wide priority admission: one controller in front of the shared
-    // queue, exactly as in the single-device DES loop.
+    // queue.
     let mut adm = cfg.admission.as_ref().map(|a| {
         pq.set_tagger(a.mix, a.class_seed);
         AdmissionState::new(*a)
     });
+    let shared_prefix = policy.shared_prefix;
 
     while !pq.is_exhausted() || reps.iter().any(|rep| rep.stepper.is_busy()) {
         // Earliest instant any pending (or still-undrawn) query becomes
-        // ready — O(log) against the queue instead of a scan of all n.
-        let min_ready = pq.min_ready();
+        // ready — O(log) against the queue, and asked only when some
+        // replica is idle (busy replicas act at their own clocks).
+        let mut min_ready: Option<f64> = None;
 
         // Route: the replica that can act earliest wins; ties go to the
         // healthiest, then the warmest prefix cache (longest cached
@@ -745,15 +874,17 @@ pub fn simulate_cluster(
         // loaded (most free KV tokens), then the lowest index. Busy
         // replicas act at their own clock (their next decode boundary);
         // idle ones at the next arrival.
-        let shared_prefix: &[u64] = cluster.shared_prefix.as_deref().unwrap_or(&[]);
         let mut best: Option<(f64, u8, u64, u64, usize)> = None;
         for (r, rep) in reps.iter().enumerate() {
             let t_act = if rep.stepper.is_busy() {
                 rep.clock
-            } else if min_ready.is_finite() {
-                rep.clock.max(min_ready)
             } else {
-                continue;
+                let ready = *min_ready.get_or_insert_with(|| pq.min_ready());
+                if ready.is_finite() {
+                    rep.clock.max(ready)
+                } else {
+                    continue;
+                }
             };
             // A replica browned out with no recharge path has an infinite
             // recovery time: it never acts again. Skipping it here (rather
@@ -792,16 +923,28 @@ pub fn simulate_cluster(
         // A crash window the replica's action time has reached fires
         // before any scheduling: the device dies, its KV cache is zeroed,
         // every in-flight sequence is voided, and the clock jumps past
-        // repair + cold start.
-        if reps[r]
+        // repair + cold start. A battery brown-out detected by the
+        // replica's own governor fires the same way, except the recovery
+        // instant comes from the recharge model instead of the repair
+        // weather, and its voided sequences are not marked crashed (the
+        // crash counters stay exogenous-only; `brownout_events` owns that
+        // path).
+        let crash = reps[r]
             .crashes
             .get(reps[r].next_crash)
-            .is_some_and(|&(start, _)| start <= t_act)
-        {
-            let (start, end) = reps[r].crashes[reps[r].next_crash];
+            .copied()
+            .filter(|&(start, _)| start <= t_act);
+        let outage = if let Some((start, end)) = crash {
             reps[r].next_crash += 1;
             crash_events += 1;
-            let recovery = end + cluster.crash.cold_start_s;
+            Some((start, end + policy.cold_start_s, true))
+        } else if let Some((start, recovery)) = reps[r].engine.governance_take_outage() {
+            brownout_events += 1;
+            Some((start, recovery, false))
+        } else {
+            None
+        };
+        if let Some((start, recovery, crashed)) = outage {
             reps[r].outages.push((start, recovery));
             let voided = reps[r].stepper.fail_all();
             for id in voided {
@@ -818,50 +961,11 @@ pub fn simulate_cluster(
                     recycle(&mut member_pool, slot.members);
                     continue;
                 }
-                crash_lost += slot.members.len();
-                for &k in &slot.members {
-                    pq.mark_crashed(k);
-                }
-                pq.requeue_failed(
-                    &slot.members,
-                    t_act,
-                    cfg.max_retries,
-                    cfg.retry_backoff_s,
-                    &mut fleet,
-                );
-                recycle(&mut member_pool, slot.members);
-            }
-            reps[r].clock = reps[r].clock.max(recovery);
-            reps[r].drain_now = reps[r].drain_now.max(reps[r].clock);
-            reps[r].throttle_streak = 0;
-            // A configured breaker makes the rejoin cautious: the revived
-            // replica must pass its half-open probes before full traffic.
-            if let Some(b) = reps[r].breaker.as_mut() {
-                b.trip(recovery);
-            }
-            continue;
-        }
-
-        // A battery brown-out detected by the replica's own governor fires
-        // exactly like a crash window, except the recovery instant comes
-        // from the recharge model instead of the repair weather. Voided
-        // sequences re-enter the retry queue (no `mark_crashed`: the crash
-        // counters stay exogenous-only; `brownout_events` owns this path).
-        if let Some((start, recovery)) = reps[r].engine.governance_take_outage() {
-            brownout_events += 1;
-            reps[r].outages.push((start, recovery));
-            let voided = reps[r].stepper.fail_all();
-            for id in voided {
-                let Some(pos) = live.iter().position(|s| s.replica == r && s.id == id) else {
-                    continue;
-                };
-                let slot = live.remove(pos);
-                if let Some(peer) = slot.pair {
-                    if let Some(p) = live.iter_mut().find(|s| s.key == peer) {
-                        p.pair = None;
+                if crashed {
+                    crash_lost += slot.members.len();
+                    for &k in &slot.members {
+                        pq.mark_crashed(k);
                     }
-                    recycle(&mut member_pool, slot.members);
-                    continue;
                 }
                 pq.requeue_failed(
                     &slot.members,
@@ -914,7 +1018,9 @@ pub fn simulate_cluster(
                     let slot = live.remove(pos);
                     let spent = reps[r].stepper.cancel(slot.id).unwrap_or(0.0);
                     fleet.energy += spent;
-                    rep_accs[r].energy += spent;
+                    if let Some(acc) = rep_accs.get_mut(r) {
+                        acc.energy += spent;
+                    }
                     if let Some(peer) = slot.pair {
                         if let Some(p) = live.iter_mut().find(|s| s.key == peer) {
                             p.pair = None;
@@ -958,8 +1064,8 @@ pub fn simulate_cluster(
             b.poll(now);
         }
 
-        // Fleet-level admission control, identical rules to the
-        // single-device loops.
+        // Fleet-level admission control, evaluated at every scheduling
+        // boundary.
         if let Some(d) = cfg.deadline_s {
             let shed = pq.shed_expired(now, d);
             if shed > 0 {
@@ -1021,7 +1127,7 @@ pub fn simulate_cluster(
                 let rep = &mut reps[r];
                 match rep
                     .stepper
-                    .admit_prefixed(&mut rep.engine, now, &req, shared_prefix)
+                    .admit_prefixed(rep.engine, now, &req, shared_prefix)
                 {
                     Ok(adm) => {
                         pq.commit_admitted(&group);
@@ -1102,7 +1208,7 @@ pub fn simulate_cluster(
         // decode boundary runs. First completion will win. Measuring from
         // arrival makes crash-requeued stragglers hedge-eligible as soon
         // as they are re-admitted — exactly the requests worth cloning.
-        if let Some(factor) = cluster.hedge_factor {
+        if let Some(factor) = policy.hedge_factor {
             if let Some(est) = lat_est.get() {
                 let threshold = factor * est;
                 // Members are admitted in seq order and arrivals are
@@ -1160,9 +1266,9 @@ pub fn simulate_cluster(
                     let req =
                         GenerationRequest::new(cfg.prompt_tokens, out_tokens).with_batch(m_len);
                     let rep = &mut reps[q];
-                    let Ok(adm) =
-                        rep.stepper
-                            .admit_prefixed(&mut rep.engine, now, &req, shared_prefix)
+                    let Ok(adm) = rep
+                        .stepper
+                        .admit_prefixed(rep.engine, now, &req, shared_prefix)
                     else {
                         continue; // refusal leaves the target untouched
                     };
@@ -1190,7 +1296,7 @@ pub fn simulate_cluster(
 
         // One decode iteration for this replica's mixed-context batch.
         let rep = &mut reps[r];
-        match rep.stepper.step(&mut rep.engine) {
+        match rep.stepper.step(rep.engine) {
             Ok(out) => {
                 rep.clock = out.end_s;
                 rep.served = rep.served.max(out.end_s);
@@ -1209,7 +1315,9 @@ pub fn simulate_cluster(
                             let loser = live.remove(ppos);
                             let spent = reps[loser.replica].stepper.cancel(loser.id).unwrap_or(0.0);
                             fleet.energy += spent;
-                            rep_accs[loser.replica].energy += spent;
+                            if let Some(acc) = rep_accs.get_mut(loser.replica) {
+                                acc.energy += spent;
+                            }
                             hedge_energy_j += spent;
                             recycle(&mut member_pool, loser.members);
                         }
@@ -1222,17 +1330,22 @@ pub fn simulate_cluster(
                     }
                     let mut step_missed = false;
                     let energy_share = f.outcome.total_energy_j() / slot.members.len() as f64;
+                    let mut rep_acc = rep_accs.get_mut(r);
                     for &k in &slot.members {
                         let arrival_s = pq.arrival_s(k);
                         let latency = completion - arrival_s;
                         let wait = slot.admit_s - arrival_s;
                         fleet.record_query(latency, wait);
-                        rep_accs[r].record_query(latency, wait);
+                        if let Some(acc) = rep_acc.as_deref_mut() {
+                            acc.record_query(latency, wait);
+                        }
                         let mut missed = false;
                         if let Some(d) = cfg.deadline_s {
                             if latency > d {
                                 fleet.deadline_misses += 1;
-                                rep_accs[r].deadline_misses += 1;
+                                if let Some(acc) = rep_acc.as_deref_mut() {
+                                    acc.deadline_misses += 1;
+                                }
                                 step_missed = true;
                                 missed = true;
                             }
@@ -1241,10 +1354,12 @@ pub fn simulate_cluster(
                             st.classes
                                 .record(pq.class_of(k), latency, missed, energy_share);
                         }
-                        if pq.take_crashed(k) {
+                        if crash_weather && pq.take_crashed(k) {
                             crash_recovered += 1;
                         }
-                        lat_est.observe(latency);
+                        if policy.hedge_factor.is_some() {
+                            lat_est.observe(latency);
+                        }
                     }
                     if let Some(st) = adm.as_mut() {
                         st.observe_service(service);
@@ -1262,14 +1377,18 @@ pub fn simulate_cluster(
                     fleet.tokens += f.outcome.total_generated_tokens() as f64;
                     fleet.record_batch(slot.members.len());
                     fleet.preemptions += f.outcome.preemptions;
-                    rep_accs[r].energy += f.outcome.total_energy_j();
-                    rep_accs[r].tokens += f.outcome.total_generated_tokens() as f64;
-                    rep_accs[r].record_batch(slot.members.len());
-                    rep_accs[r].preemptions += f.outcome.preemptions;
+                    if let Some(acc) = rep_acc.as_deref_mut() {
+                        acc.energy += f.outcome.total_energy_j();
+                        acc.tokens += f.outcome.total_generated_tokens() as f64;
+                        acc.record_batch(slot.members.len());
+                        acc.preemptions += f.outcome.preemptions;
+                    }
                     recycle(&mut member_pool, slot.members);
                     if reps[r].level > 0 {
                         fleet.degraded_s += service;
-                        rep_accs[r].degraded_s += service;
+                        if let Some(acc) = rep_acc {
+                            acc.degraded_s += service;
+                        }
                     }
                     if f.outcome.throttled_s > 0.0 {
                         reps[r].throttle_streak += 1;
@@ -1285,8 +1404,7 @@ pub fn simulate_cluster(
                     }
                 }
                 if !reps[r].stepper.is_busy() {
-                    // Drained: completions define this replica's clock,
-                    // exactly as in the single-device continuous loop.
+                    // Drained: completions define this replica's clock.
                     reps[r].clock = reps[r].drain_now;
                     reps[r].served = reps[r].served.max(reps[r].drain_now);
                 }
@@ -1341,12 +1459,26 @@ pub fn simulate_cluster(
     };
 
     let fleet_energy_j = fleet.energy;
-    let replica_energy_j: Vec<f64> = rep_accs.iter().map(|acc| acc.energy).collect();
-    let replicas: Vec<ServingReport> = rep_accs
-        .into_iter()
-        .zip(&reps)
-        .map(|(acc, rep)| acc.into_report(cfg, rep.served))
-        .collect();
+    let fleet_report = fleet.into_report(cfg, wall);
+    let (replicas, replica_energy_j): (Vec<ServingReport>, Vec<f64>) = if rep_accs.is_empty() {
+        // The lone replica: the fleet's books minus the fleet-level
+        // decisions (its wall clock is the fleet's).
+        let lone = ServingReport {
+            failed_queries: 0,
+            shed_queries: 0,
+            retries: 0,
+            ..fleet_report
+        };
+        (vec![lone], vec![fleet_energy_j])
+    } else {
+        let energy = rep_accs.iter().map(|acc| acc.energy).collect();
+        let reports = rep_accs
+            .into_iter()
+            .zip(&reps)
+            .map(|(acc, rep)| acc.into_report(cfg, rep.served))
+            .collect();
+        (reports, energy)
+    };
     let mut governance: Option<GovernanceStats> = None;
     let mut breaker_trips = 0usize;
     let mut breaker_rejoins = 0usize;
@@ -1362,36 +1494,29 @@ pub fn simulate_cluster(
         }
     }
     let classes = adm.map(|st| st.classes.into_breakdown(pq.class_counts(), wall));
-    let report = ClusterReport {
-        fleet: fleet.into_report(cfg, wall),
-        replicas,
-        availability,
-        crash_events,
-        crash_lost,
-        crash_recovered,
-        hedges_fired,
-        hedge_wins,
-        hedge_energy_j,
-        brownout_events,
-        governance,
-        partition_events,
-        partition_voided,
-        breaker_trips,
-        breaker_rejoins,
-        fleet_energy_j,
-        replica_energy_j,
-        classes,
-    };
-    // Debug and test builds close the fleet's books on every run. A fleet
-    // that died for good (e.g. every battery flat with no recharge path)
-    // legitimately strands its queue — conservation only holds for runs
-    // that drained, so the stranded case is exempt.
-    #[cfg(any(test, debug_assertions))]
-    if pq.is_exhausted() {
-        let violations = crate::audit::audit_cluster(cfg, cluster, &report);
-        debug_assert!(violations.is_empty(), "cluster audit: {violations:?}");
-    }
-    Ok(report)
+    Ok(FleetRun {
+        report: ClusterReport {
+            fleet: fleet_report,
+            replicas,
+            availability,
+            crash_events,
+            crash_lost,
+            crash_recovered,
+            hedges_fired,
+            hedge_wins,
+            hedge_energy_j,
+            brownout_events,
+            governance,
+            partition_events,
+            partition_voided,
+            breaker_trips,
+            breaker_rejoins,
+            fleet_energy_j,
+            replica_energy_j,
+            classes,
+        },
+        drained: pq.is_exhausted(),
+    })
 }
 
 #[cfg(test)]

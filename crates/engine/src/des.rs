@@ -1,11 +1,12 @@
 //! Discrete-event serving core: event queue, query arena, pending queue.
 //!
-//! The pre-PR6 scheduler loops kept *every* query of the run — future
-//! arrivals included — in one `Vec<usize>` and re-scanned it at every
-//! scheduling boundary (idle jump, deadline pass, capacity pass,
+//! The scheduler loops this replaced kept *every* query of the run —
+//! future arrivals included — in one `Vec<usize>` and re-scanned it at
+//! every scheduling boundary (idle jump, deadline pass, capacity pass,
 //! admission), making each boundary O(total queries) and the whole run
-//! quadratic. This module is the shared replacement spine used by
-//! `serving` and `cluster`:
+//! quadratic. This module is the spine of the one continuous-batching
+//! loop (`cluster::serve`, which single-device serving runs as a
+//! one-replica fleet):
 //!
 //! * [`EventQueue`] — a binary-heap priority queue over simulated time
 //!   with a deterministic FIFO tie-break (insertion sequence), used for
@@ -45,7 +46,7 @@ use crate::telemetry::ServingAccumulator;
 /// [`Priority::index`]. The pending queue is the single point every query
 /// passes through (tagged at arrival, removed exactly once by shed, drop
 /// or release), so it owns the offered/shed/failed ledger; completions are
-/// counted by the scheduler loops at retirement.
+/// counted by the serving loop at retirement.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ClassCounters {
     /// Queries tagged per class (incremented at arrival materialization).
@@ -127,124 +128,6 @@ impl<T> EventQueue<T> {
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.heap.len()
-    }
-}
-
-/// A two-tier bucketed event queue (a simplified calendar queue, Brown
-/// 1988): a *near* tier sorted for O(1) pop plus an unsorted *far* tier
-/// refilled window-by-window. Pop order is identical to [`EventQueue`] —
-/// ascending `(time, insertion seq)` with the FIFO tie-break on bit-equal
-/// times — because both orders are the same total order; the 500-seed
-/// proptest in `tests/properties.rs` pins this.
-///
-/// Evaluated against the `BinaryHeap` under `serving/des_100k` and
-/// `cluster/des_3rep_100k` (see DESIGN.md §14): the retry-wakeup queue is
-/// small and bursty in both regimes, so the heap's cheaper pushes win and
-/// [`PendingQueue`] keeps [`EventQueue`]. The bucketed queue stays here —
-/// tested and benched — as the drop-in for a future high-rate regime where
-/// the pending-event set grows past the cache-friendly range.
-#[derive(Debug, Clone, Default)]
-#[cfg(test)]
-pub(crate) struct BucketQueue<T> {
-    /// Events below `horizon`, sorted descending so the earliest is last.
-    near: Vec<Event<T>>,
-    /// Events at or past `horizon`, unsorted.
-    far: Vec<Event<T>>,
-    horizon: f64,
-    next_seq: u64,
-}
-
-#[cfg(test)]
-impl<T: Copy> BucketQueue<T> {
-    /// Creates an empty queue.
-    pub(crate) fn new() -> Self {
-        Self {
-            near: Vec::new(),
-            far: Vec::new(),
-            horizon: f64::NEG_INFINITY,
-            next_seq: 0,
-        }
-    }
-
-    /// Ascending `(time, seq)` — the pop order shared with [`EventQueue`].
-    fn cmp_event(a: &Event<T>, b: &Event<T>) -> std::cmp::Ordering {
-        a.time.total_cmp(&b.time).then(a.seq.cmp(&b.seq))
-    }
-
-    /// Schedules `payload` at `time`.
-    pub(crate) fn push(&mut self, time: f64, payload: T) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let ev = Event { time, seq, payload };
-        if time < self.horizon {
-            // Keep the near tier sorted descending: binary-search from the
-            // back, where in-window pushes land in practice.
-            let pos = self
-                .near
-                .partition_point(|e| Self::cmp_event(e, &ev) == std::cmp::Ordering::Greater);
-            self.near.insert(pos, ev);
-        } else {
-            self.far.push(ev);
-        }
-    }
-
-    /// Moves the next window of far events into the near tier. The window
-    /// spans from the earliest far event to the mean far spacing times the
-    /// refill batch — a self-sizing bucket width that keeps each refill
-    /// roughly O(batch log batch) without tuning.
-    fn refill(&mut self) {
-        if self.far.is_empty() {
-            return;
-        }
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for e in &self.far {
-            lo = lo.min(e.time);
-            hi = hi.max(e.time);
-        }
-        // Window width: span / count * batch, so ~`REFILL_BATCH` events
-        // move per refill under a uniform spread; degenerate spans (all
-        // equal times) take everything at once.
-        const REFILL_BATCH: f64 = 32.0;
-        let span = hi - lo;
-        let width = if span > 0.0 {
-            span / self.far.len() as f64 * REFILL_BATCH
-        } else {
-            f64::INFINITY
-        };
-        let horizon = if width.is_finite() {
-            (lo + width).max(lo)
-        } else {
-            f64::INFINITY
-        };
-        self.horizon = horizon;
-        // `horizon > lo` always (width > 0), so at least the earliest far
-        // event moves and refill never spins.
-        let mut i = 0;
-        while i < self.far.len() {
-            if self.far[i].time < horizon {
-                self.near.push(self.far.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        self.near.sort_unstable_by(|a, b| Self::cmp_event(b, a));
-    }
-
-    /// Earliest event, if any.
-    pub(crate) fn peek(&mut self) -> Option<(f64, &T)> {
-        if self.near.is_empty() {
-            self.refill();
-        }
-        self.near.last().map(|e| (e.time, &e.payload))
-    }
-
-    /// Removes and returns the earliest event.
-    pub(crate) fn pop(&mut self) -> Option<(f64, T)> {
-        if self.near.is_empty() {
-            self.refill();
-        }
-        self.near.pop().map(|e| (e.time, e.payload))
     }
 }
 
@@ -880,23 +763,12 @@ mod tests {
         assert_eq!(q.len(), 0);
     }
 
+    /// 500-seed property: under interleaved pushes and pops with plenty
+    /// of exact time ties, every pop returns what a stable sort of the
+    /// outstanding events by time puts first — earliest time, insertion
+    /// (FIFO) order among equal times.
     #[test]
-    fn bucket_queue_pops_in_time_then_fifo_order() {
-        let mut q = BucketQueue::new();
-        q.push(2.0, "b");
-        q.push(1.0, "a1");
-        q.push(1.0, "a2");
-        q.push(3.0, "c");
-        assert_eq!(q.peek(), Some((1.0, &"a1")));
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
-        assert_eq!(order, ["a1", "a2", "b", "c"]);
-    }
-
-    /// 500-seed property: the bucketed queue's pop sequence is bit-identical
-    /// to the `BinaryHeap`-backed [`EventQueue`] under interleaved pushes and
-    /// pops with duplicate times (FIFO tie-break preserved).
-    #[test]
-    fn bucket_queue_matches_binary_heap_over_500_seeds() {
+    fn event_queue_matches_stable_sort_over_500_seeds() {
         for seed in 0u64..500 {
             // SplitMix64: cheap deterministic per-seed stream.
             let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
@@ -908,41 +780,36 @@ mod tests {
                 z ^ (z >> 31)
             };
             let mut heap = EventQueue::new();
-            let mut bucket = BucketQueue::new();
-            let mut popped = Vec::new();
+            // Outstanding events in insertion order.
+            let mut model: Vec<(f64, usize)> = Vec::new();
+            let pop_both = |heap: &mut EventQueue<usize>, model: &mut Vec<(f64, usize)>| {
+                model.sort_by(|a, b| a.0.total_cmp(&b.0));
+                let want = (!model.is_empty()).then(|| model.remove(0));
+                let got = heap.pop();
+                match (got, want) {
+                    (Some((tg, pg)), Some((tw, pw))) => {
+                        assert_eq!(tg.to_bits(), tw.to_bits(), "seed {seed}");
+                        assert_eq!(pg, pw, "seed {seed}");
+                    }
+                    (None, None) => {}
+                    (g, w) => panic!("seed {seed}: {g:?} vs {w:?}"),
+                }
+            };
             for op in 0..200 {
                 if op % 3 == 2 {
-                    let a = heap.pop();
-                    let b = bucket.pop();
-                    match (a, b) {
-                        (Some((ta, pa)), Some((tb, pb))) => {
-                            assert_eq!(ta.to_bits(), tb.to_bits(), "seed {seed} op {op}");
-                            assert_eq!(pa, pb, "seed {seed} op {op}");
-                            popped.push((ta, pa));
-                        }
-                        (None, None) => {}
-                        (a, b) => panic!("seed {seed} op {op}: {a:?} vs {b:?}"),
-                    }
+                    pop_both(&mut heap, &mut model);
                 } else {
                     // Coarse times force plenty of exact ties; the payload
                     // is the push index so order mismatches are visible.
                     let t = (next() % 32) as f64 * 0.25;
                     heap.push(t, op);
-                    bucket.push(t, op);
+                    model.push((t, op));
                 }
             }
-            let mut last = f64::NEG_INFINITY;
-            while let (Some((ta, pa)), Some((tb, pb))) = (heap.pop(), bucket.pop()) {
-                assert_eq!(ta.to_bits(), tb.to_bits(), "seed {seed}");
-                assert_eq!(pa, pb, "seed {seed}");
-                assert!(ta >= last, "seed {seed}: time order");
-                last = ta;
-                popped.push((ta, pa));
+            while !model.is_empty() {
+                pop_both(&mut heap, &mut model);
             }
-            assert!(
-                heap.pop().is_none() && bucket.pop().is_none(),
-                "seed {seed}"
-            );
+            assert!(heap.pop().is_none(), "seed {seed}");
         }
     }
 

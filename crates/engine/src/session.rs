@@ -14,11 +14,12 @@
 //!
 //! # Bit-exactness contract
 //!
-//! The loop mirrors the DES serving loop boundary for boundary (idle jump
-//! → pump → deadline shed → capacity shed → admission → step → drain
-//! snap). With prefix caching disabled (or all-empty signatures) and a
-//! uniform trace ([`uniform_session_trace`] replays the exact legacy
-//! Poisson stream), drained-queue runs produce reports bit-identical to
+//! The loop mirrors the fleet serving loop (`crate::cluster`) boundary
+//! for boundary (idle jump → pump → deadline shed → capacity shed →
+//! admission → step → drain snap). With prefix caching disabled (or
+//! all-empty signatures) and a uniform trace ([`uniform_session_trace`]
+//! replays the exact legacy Poisson stream), drained-queue runs produce
+//! reports bit-identical to
 //! [`crate::serving::simulate_serving_continuous`] — pinned by the DES
 //! regression suite and a 500-seed property test.
 

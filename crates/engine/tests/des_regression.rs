@@ -6,7 +6,8 @@
 //! comparing reports — whose `PartialEq` is *bitwise* on every float field —
 //! across the three implementations:
 //!
-//! * `simulate_serving_continuous` (production, DES core),
+//! * `simulate_serving_continuous` (production: the fleet loop run as a
+//!   quiet one-replica fleet),
 //! * `simulate_serving_continuous_reference` (the pre-DES loop, verbatim),
 //! * `simulate_serving` (the static gang scheduler, the drained oracle).
 
@@ -151,6 +152,42 @@ fn one_replica_no_crash_fleet_is_the_continuous_scheduler() {
                 .expect("single runs");
         assert_eq!(fleet.fleet, single, "seed {seed}");
         assert_eq!(fleet.replicas[0], single, "seed {seed}");
+    }
+}
+
+#[test]
+fn single_device_browns_out_like_the_one_replica_fleet() {
+    // A 400 J battery with no recharge path drains mid-run: the device
+    // browns out, voids its in-flight work and never comes back. The
+    // single-device entry point must honour the outage exactly as the
+    // one-replica fleet does (same report, same governor counters)
+    // instead of serving on an empty battery.
+    use edgereasoning_soc::thermal::{BatteryConfig, GovernanceConfig};
+    let gov = GovernanceConfig::default()
+        .with_trip(10_000.0, 9_000.0)
+        .with_battery(BatteryConfig {
+            capacity_j: 400.0,
+            ..BatteryConfig::default()
+        });
+    let engine_cfg = EngineConfig::vllm().with_governance(gov);
+    let cfg = ServingConfig::new(0.5, 8, 40, 128, 128);
+    for seed in 0..5u64 {
+        let fleet = simulate_cluster(
+            &ClusterConfig::new(1, engine_cfg.clone()),
+            ModelId::Dsr1Qwen1_5b,
+            Precision::Fp16,
+            &cfg,
+            seed,
+        )
+        .expect("fleet runs");
+        assert_eq!(fleet.brownout_events, 1, "seed {seed}: the battery drains");
+        let mut e = InferenceEngine::new(engine_cfg.clone(), seed);
+        let single =
+            simulate_serving_continuous(&mut e, ModelId::Dsr1Qwen1_5b, Precision::Fp16, &cfg, seed)
+                .expect("single runs");
+        assert!(single.completed < cfg.queries, "seed {seed}: {single:?}");
+        assert_eq!(fleet.fleet, single, "seed {seed}");
+        assert_eq!(fleet.governance, e.governance_stats(), "seed {seed}");
     }
 }
 
